@@ -120,7 +120,6 @@ std::uint64_t CompressedMatrix<T>::memory_bytes() const {
   for (const auto& nd : data_) {
     bytes += std::uint64_t(nd.proj.size()) * sizeof(T);
     bytes += std::uint64_t(nd.skel.size()) * sizeof(index_t);
-    bytes += std::uint64_t(nd.sample_rows.size()) * sizeof(index_t);
     bytes += std::uint64_t(nd.near.size() + nd.far.size()) * sizeof(void*);
     bytes += std::uint64_t(nd.near_leaf_ordinals.size()) * sizeof(index_t);
   }

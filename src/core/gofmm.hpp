@@ -192,7 +192,6 @@ class CompressedMatrix final : public CompressedOperator<T>,
     std::vector<index_t> skel;  ///< skeleton indices α̃ (original ids)
     la::Matrix<T> proj;  ///< P_{α̃α} (leaf) or P_{α̃[l̃r̃]} (internal)
     bool needs_skeleton = false;
-    std::vector<index_t> sample_rows;  ///< importance-sampled row ids
 
     // --- interaction lists ---
     std::vector<const tree::Node*> near;  ///< leaves only (incl. self)

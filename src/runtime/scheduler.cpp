@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -10,8 +11,8 @@ namespace gofmm::rt {
 
 namespace detail {
 
-// One submitted graph execution. Tasks point back at their run so workers
-// from interleaved submits can credit completions to the right future.
+// One graph execution. Tasks point back at their run so workers serving
+// concurrent run() calls credit completions to the right caller.
 struct GraphRun {
   std::atomic<index_t> remaining{0};
   std::atomic<bool> failed{false};
@@ -79,6 +80,13 @@ struct WorkerQueue {
     std::lock_guard<std::mutex> lk(mu);
     return pending_cost;
   }
+
+  // Pending cost, or -1 when empty, so a thief tells an empty queue from
+  // one holding only zero-cost tasks.
+  double steal_load() {
+    std::lock_guard<std::mutex> lk(mu);
+    return ready.empty() ? -1.0 : pending_cost;
+  }
 };
 
 // Kahn topological pass: returns false when some tasks are unreachable
@@ -122,9 +130,9 @@ bool acyclic(const std::vector<std::unique_ptr<Task>>& tasks,
 }  // namespace
 
 // Persistent worker pool. Lifecycle: threads start in the constructor and
-// idle on wake_cv until queued_ > 0; dispatches from any thread (submit or
-// a worker releasing successors) enqueue HEFT-style and notify. stop_
-// makes idle workers exit once the queues drain.
+// idle on wake_cv until queued > 0; dispatches from any thread (run() or a
+// worker releasing successors) enqueue HEFT-style and notify. stop makes
+// idle workers exit once the queues drain.
 struct Scheduler::Impl {
   explicit Impl(int num_workers) : W(num_workers) {
     queues.reserve(std::size_t(W));
@@ -146,7 +154,7 @@ struct Scheduler::Impl {
   }
 
   // HEFT dispatch: enqueue on the worker with minimum estimated finish
-  // time. Thread-safe; called from submit() and from workers releasing
+  // time. Thread-safe; called from run() and from workers releasing
   // successors.
   void dispatch(Task* t) {
     int best = 0;
@@ -159,17 +167,24 @@ struct Scheduler::Impl {
       }
     }
     queues[std::size_t(best)]->push(t);
-    queued.fetch_add(1, std::memory_order_release);
-    wake_cv.notify_all();
+    // Publish under wake_mu: a worker that has just seen queued == 0 in its
+    // wait predicate either sees this task or is already waiting when the
+    // notify fires, so no wake-up is lost. One task wakes one worker; the
+    // worker it wakes takes this task from its own queue or steals it.
+    {
+      std::lock_guard<std::mutex> lk(wake_mu);
+      queued.fetch_add(1, std::memory_order_relaxed);
+    }
+    wake_cv.notify_one();
   }
 
   Task* try_steal(int wid) {
-    // Work stealing: raid the most-loaded peer queue.
+    // Work stealing: raid the most-loaded non-empty peer queue.
     int victim = -1;
-    double vload = 0.0;
+    double vload = -1.0;
     for (int w = 0; w < W; ++w) {
       if (w == wid) continue;
-      const double l = queues[std::size_t(w)]->load();
+      const double l = queues[std::size_t(w)]->steal_load();
       if (l > vload) {
         vload = l;
         victim = w;
@@ -204,7 +219,7 @@ struct Scheduler::Impl {
       }
       // Release successors (they may belong only to this run: edges never
       // cross graphs). Failed runs still release, so the graph drains and
-      // the future completes instead of leaking pending tasks.
+      // run() returns instead of leaking pending tasks.
       for (Task* s : TaskAccess::successors(t)) {
         if (TaskAccess::unmet(s).fetch_sub(1, std::memory_order_acq_rel) == 1)
           dispatch(s);
@@ -225,7 +240,7 @@ struct Scheduler::Impl {
     }
   }
 
-  // Frees completed GraphRuns. Called under submits (keeping the list
+  // Frees completed GraphRuns. Called by every run() (keeping the list
   // bounded on a long-lived scheduler) and at destruction.
   void prune_runs() {
     std::lock_guard<std::mutex> lk(runs_mu);
@@ -258,31 +273,27 @@ std::uint64_t Scheduler::steal_count() const {
   return impl_->steals.load(std::memory_order_relaxed);
 }
 
-std::shared_future<void> Scheduler::submit(TaskGraph& graph) {
+void Scheduler::run(TaskGraph& graph) {
   const auto& tasks = TaskAccess::tasks(graph);
   std::string member;
   if (!acyclic(tasks, &member))
     throw CycleError("Scheduler: dependency cycle through task '" + member +
                      "' — no task was executed");
+  if (tasks.empty()) return;
 
-  // The run owns the graph's completion state; tasks borrow a raw
-  // pointer. The scheduler itself keeps the run alive (impl_->runs) until
-  // the finishing worker retires it, so the caller may drop the future —
-  // or destroy the graph the moment the future is ready — without racing
-  // the worker's promise.set_value.
+  // The run owns the graph's completion state; tasks borrow a raw pointer.
+  // The scheduler itself keeps the run alive (impl_->runs) until the
+  // finishing worker retires it, so this call may return — and the caller
+  // destroy the graph — the moment the promise fires, without racing the
+  // worker's promise.set_value.
   auto owned = std::make_unique<GraphRun>();
   GraphRun* run = owned.get();
   run->remaining.store(index_t(tasks.size()), std::memory_order_relaxed);
-  std::shared_future<void> fut = run->promise.get_future().share();
+  std::future<void> done = run->promise.get_future();
   impl_->prune_runs();
   {
     std::lock_guard<std::mutex> lk(impl_->runs_mu);
     impl_->runs.push_back(std::move(owned));
-  }
-  if (tasks.empty()) {
-    run->promise.set_value();
-    run->retired.store(true, std::memory_order_release);
-    return fut;
   }
 
   // Reset dependency counters and wire the run before the first dispatch:
@@ -295,9 +306,7 @@ std::shared_future<void> Scheduler::submit(TaskGraph& graph) {
   }
   for (const auto& t : tasks)
     if (TaskAccess::num_preds(t.get()) == 0) impl_->dispatch(t.get());
-  return fut;
+  done.get();
 }
-
-void Scheduler::run(TaskGraph& graph) { submit(graph).get(); }
 
 }  // namespace gofmm::rt

@@ -7,16 +7,15 @@
 // job-stealing fallback for when the cost model misestimates.
 //
 // The scheduler owns a PERSISTENT worker pool: threads start at
-// construction and live until destruction, so a long-lived owner (the
-// solve service of src/service/) pays thread startup once, not per graph.
-// Graphs are executed either synchronously (run()) or asynchronously
-// (submit(), returning a future) — concurrent submits from different
-// threads interleave on the one pool, which is how the service overlaps
-// operator builds with solve sweeps.
+// construction and live until destruction, so an owner that runs many
+// graphs pays thread startup once, not per graph. run() blocks until its
+// graph completed; concurrent run() calls from different threads
+// interleave their tasks on the one pool.
 #pragma once
 
-#include <future>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/task.hpp"
 
@@ -40,7 +39,7 @@ class Scheduler {
   /// immediately and idle on a condition variable until work arrives.
   explicit Scheduler(int num_workers = 0);
 
-  /// Drains every submitted graph, then stops and joins the workers.
+  /// Stops and joins the workers (every run() has returned by then).
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;             ///< owns threads
@@ -50,17 +49,11 @@ class Scheduler {
   /// tasks completed. The graph can be re-run (dependency counters are
   /// reinitialised on entry). Throws CycleError if the graph has a
   /// dependency cycle (no task executes then); rethrows the first task
-  /// exception after the graph drains. Must not be called from inside a
-  /// task on this scheduler (the worker would wait on itself).
+  /// exception after the graph drains. Safe to call from several threads
+  /// at once (each call waits for its own graph only), but not from inside
+  /// a task on this scheduler (the worker would wait on itself), and one
+  /// graph must not be in two run() calls at once.
   void run(TaskGraph& graph);
-
-  /// Asynchronous variant of run(): enqueues the graph's sources and
-  /// returns a future that becomes ready when every task completed (or
-  /// carries the first task exception). The caller must keep `graph` alive
-  /// and unmodified until the future is ready. Throws CycleError before
-  /// enqueuing anything if the graph is cyclic. A graph may only be
-  /// re-submitted after its previous future completed.
-  [[nodiscard]] std::shared_future<void> submit(TaskGraph& graph);
 
   [[nodiscard]] int num_workers() const { return num_workers_; }
 

@@ -48,7 +48,7 @@ class Task {
   std::vector<Task*> successors_;
   std::atomic<index_t> unmet_{0};
   index_t num_preds_ = 0;
-  detail::GraphRun* run_ = nullptr;  // the submit() this task belongs to
+  detail::GraphRun* run_ = nullptr;  // the run() this task belongs to
 };
 
 /// Task wrapping a callable; the common case for algorithm phases.

@@ -15,11 +15,13 @@
 //     flushes immediately. Results are bit-identical to solo solves:
 //     blocked solves are column-independent (la/-level GEMMs never mix
 //     columns), so coalescing changes throughput, not bits.
-//  3. Async executor — every batch becomes a small TaskGraph (build →
-//     retune → sweep, wired with cost estimates) submitted to the revived
-//     rt::Scheduler's persistent worker pool, so compression of a cold
-//     operator overlaps sweeps against warm ones, and callers only ever
-//     block on their own future.
+//  3. Executor — `num_workers` service threads each take the due batch
+//     with the earliest deadline and run it as one job: build (on a cold
+//     structure), retune and sweep inside ONE with_operator() call, so a
+//     retune and the sweep it serves share one write lock. While batching
+//     is on, at most one batch per structure runs at a time, so a
+//     compression of a cold operator overlaps sweeps against warm ones,
+//     and callers only ever block on their own future.
 //
 // Backpressure: admission is bounded by `max_pending` in-flight requests;
 // submissions beyond it throw OverloadedError (typed, catchable) rather
@@ -49,8 +51,6 @@
 #include "core/operator.hpp"
 #include "core/solvers.hpp"
 #include "la/blas.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/task.hpp"
 #include "service/operator_cache.hpp"
 #include "service/service_stats.hpp"
 #include "spectral/eigs.hpp"
@@ -117,7 +117,8 @@ struct ServiceResult {
   /// residual (Solve against a MixedF32 factorization with refine on;
   /// 0 everywhere else).
   index_t refine_iterations = 0;
-  /// Submit → sweep-start wait (batching window + queueing + build time).
+  /// Submit → sweep-start wait (batching window + queueing + build and
+  /// retune time).
   double queue_seconds = 0;
   /// Sweep wall-clock (shared by every request of the batch).
   double sweep_seconds = 0;
@@ -225,44 +226,38 @@ class SolveService {
     index_t max_batch_cols = 64;
     /// How long the first request of a batch waits for company. The knob
     /// trades latency for coalescing; 0 still coalesces whatever arrived
-    /// while the executor was busy.
+    /// while a sweep of the same structure was running.
     std::chrono::microseconds batch_window{250};
     /// Admission bound: in-flight requests beyond this throw
     /// OverloadedError at submit.
     std::size_t max_pending = 4096;
-    /// Executor workers (0 = hardware concurrency).
+    /// Service worker threads, each running one batch at a time
+    /// (0 = hardware concurrency).
     int num_workers = 0;
     /// Measure per-column solve residuals (one extra blocked matvec per
     /// solve batch). Off = solves return without residuals.
     bool report_residuals = true;
   };
 
-  /// Starts the executor pool and the dispatcher thread immediately;
-  /// operators build lazily on first request (or warm via cache()).
+  /// Starts the worker threads immediately; operators build lazily on
+  /// first request (or warm via cache()).
   explicit SolveService(Builder builder, Options options = {})
       : opts_(options),
         cache_(std::move(builder), options.cache_byte_budget),
-        sched_(options.num_workers),
-        dispatcher_([this] { dispatcher(); }) {}
+        workers_(start_workers()) {}
 
   SolveService(const SolveService&) = delete;             ///< owns threads
   SolveService& operator=(const SolveService&) = delete;  ///< owns threads
 
-  /// Drains: flushes open batches, waits for every accepted request's
-  /// future to complete, then stops the executor.
+  /// Drains: flushes open batches, completes every accepted request's
+  /// future, then joins the workers.
   ~SolveService() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       stop_ = true;
     }
     cv_.notify_all();
-    dispatcher_.join();  // flushes every open batch before exiting
-    std::vector<std::unique_ptr<Batch>> inflight;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inflight.swap(inflight_);
-    }
-    for (auto& b : inflight) b->done.wait();
+    for (auto& w : workers_) w.join();  // each exits once no batch is left
   }
 
   /// Enqueues a request; the future resolves when its batch's sweep
@@ -310,6 +305,7 @@ class SolveService {
       if (slot == nullptr) {
         slot = std::make_unique<Batch>();
         slot->spec = spec;
+        slot->skey = spec.structure_key();
         slot->kind = kind;
         slot->solve = solve_options;
         slot->trace = trace_options;
@@ -420,21 +416,18 @@ class SolveService {
   };
 
   // One coalesced sweep: the requests of a (structure, λ, kind) key that
-  // arrived within a window. Owns the TaskGraph it executes as, so it must
-  // outlive `done` (inflight_ holds it until then).
+  // arrived within a window.
   struct Batch {
     OperatorSpec spec;
     RequestKind kind;
     SolveOptions solve;            // refinement policy (Solve batches)
     spectral::TraceOptions trace;  // estimator shape (Trace batches)
     spectral::EigsOptions eigs;    // eigensolver shape (Eigs batches)
-    std::string key;  // batch key (structure | λ | kind | kind options)
+    std::string key;   // batch key (structure | λ | kind | kind options)
+    std::string skey;  // structure key: the coalescing gate
     std::vector<std::unique_ptr<Request>> requests;
     index_t cols = 0;
     typename Clock::time_point deadline;
-    rt::TaskGraph graph;
-    std::shared_future<void> done;
-    std::exception_ptr build_error;  // set by the build task, read by sweep
   };
 
   static std::string batch_key(const OperatorSpec& spec, RequestKind kind,
@@ -479,114 +472,98 @@ class SolveService {
     return key;
   }
 
-  // Collects due batches (window expired, size trigger hit, or shutdown
-  // flush) and launches each as a TaskGraph on the executor.
+  // Starts num_workers threads (0 = hardware concurrency). Runs last in
+  // the constructor, so every member a worker touches already exists.
+  std::vector<std::thread> start_workers() {
+    const int n = opts_.num_workers > 0
+                      ? opts_.num_workers
+                      : int(std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::thread> workers;
+    workers.reserve(std::size_t(n));
+    for (int w = 0; w < n; ++w) workers.emplace_back([this] { worker(); });
+    return workers;
+  }
+
+  // One service thread. Each pass takes the due batch with the earliest
+  // deadline — a closed batch in ready_, an open one past its window, or
+  // any batch on shutdown — runs it, reopens its gate and loops at once.
   //
   // Coalescing gate: with batching enabled (max_batch_cols > 1) at most
-  // ONE sweep per batch key is in flight; a due batch whose key is busy
-  // stays open and keeps absorbing arrivals until the running sweep
-  // completes. Under load the batch width therefore tracks the arrival
-  // rate × sweep time naturally — the window only bounds the wait when
-  // the service is idle. With batching disabled every request dispatches
-  // independently at full executor parallelism.
-  void dispatcher() {
+  // ONE batch per structure runs at a time; a due batch whose structure is
+  // busy stays queued (an open one keeps absorbing arrivals) until the
+  // running batch completes. Under load the batch width therefore tracks
+  // the arrival rate × sweep time naturally — the window only bounds the
+  // wait when the service is idle — and batches of one structure at
+  // different λs run one after another instead of fighting over the
+  // entry's lock. With batching disabled every request runs independently
+  // at full worker parallelism.
+  void worker() {
     const bool gated = opts_.max_batch_cols > 1;
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-      prune_inflight();  // under mu_
       if (stop_ && open_.empty() && ready_.empty()) return;
       const auto now = Clock::now();
-      std::vector<std::unique_ptr<Batch>> due;
-      auto launchable = [&](const Batch& b) {
-        return !gated || busy_.find(b.key) == busy_.end();
+      auto runnable = [&](const Batch& b) {
+        return !gated || !busy_.contains(b.skey);
       };
-      for (auto it = ready_.begin(); it != ready_.end();) {
-        if (launchable(**it)) {
-          busy_.insert((*it)->key);
-          due.push_back(std::move(*it));
-          it = ready_.erase(it);
-        } else {
-          ++it;
+      Batch* best = nullptr;
+      for (const auto& b : ready_)
+        if (runnable(*b) && (best == nullptr || b->deadline < best->deadline))
+          best = b.get();
+      auto until = Clock::time_point::max();  // next open window to close
+      for (const auto& [key, b] : open_) {
+        if (!stop_ && now < b->deadline) {
+          until = std::min(until, b->deadline);
+        } else if (runnable(*b) &&
+                   (best == nullptr || b->deadline < best->deadline)) {
+          best = b.get();
         }
       }
-      for (auto it = open_.begin(); it != open_.end();) {
-        Batch& b = *it->second;
-        if ((stop_ || now >= b.deadline) && launchable(b)) {
-          busy_.insert(b.key);
-          due.push_back(std::move(it->second));
-          it = open_.erase(it);
+      if (best == nullptr) {
+        // Nothing runnable: sleep to the next window, or until a submit or
+        // a finished batch (which reopens a gate) notifies.
+        if (until != Clock::time_point::max()) {
+          cv_.wait_until(lk, until);
         } else {
-          ++it;
+          cv_.wait(lk);
         }
-      }
-      if (!due.empty()) {
-        lk.unlock();
-        for (auto& b : due) launch(std::move(b));
-        lk.lock();
         continue;
       }
-      // Nothing launchable. Sleep to the next open deadline; with only
-      // gate-blocked batches pending, nap briefly (sweep completions
-      // notify cv_, so the wait usually ends early and exactly on time).
-      auto until = Clock::time_point::max();
-      for (const auto& [key, b] : open_)
-        if (b->deadline > now && b->deadline < until) until = b->deadline;
-      if (until != Clock::time_point::max()) {
-        cv_.wait_until(lk, until);
-      } else if (!open_.empty() || !ready_.empty()) {
-        cv_.wait_for(lk, std::chrono::microseconds(500));
-      } else if (!stop_) {
-        cv_.wait(lk);
-      }
+      std::unique_ptr<Batch> owned = take(best);
+      if (gated) busy_.insert(owned->skey);
+      lk.unlock();
+      execute(*owned);
+      lk.lock();
+      if (gated) busy_.erase(owned->skey);  // reopen the coalescing gate
+      owned.reset();
+      cv_.notify_all();  // a gate-blocked batch, or shutdown, may be due now
     }
   }
 
-  // Wires the batch's build → retune → sweep TaskGraph and submits it.
-  // Costs are coarse priors (cold build ≫ retune ≫ lookup) refined by
-  // measured per-column sweep cost, enough for HEFT to keep cold-operator
-  // compressions from serializing behind warm sweeps.
-  void launch(std::unique_ptr<Batch> owned) {
-    Batch* b = owned.get();
-    const std::string skey = b->spec.structure_key();
-    const bool warm = cache_.contains(skey);
-    const double col_cost = sweep_cost_per_col(skey);
-    rt::Task* build = b->graph.emplace(
-        [this, b](int) {
-          try {
-            (void)cache_.acquire(b->spec);
-          } catch (...) {
-            b->build_error = std::current_exception();
-          }
-        },
-        warm ? 1e3 : 1e9, "svc:build");
-    rt::Task* retune = b->graph.emplace(
-        [this, b](int) {
-          if (b->build_error != nullptr) return;
-          try {  // pin λ now so the sweep usually finds it resident
-            cache_.with_operator(b->spec, [](auto&) {});
-          } catch (...) {
-            b->build_error = std::current_exception();
-          }
-        },
-        1e5, "svc:retune");
-    rt::Task* sweep = b->graph.emplace(
-        [this, b](int) { execute(*b); }, col_cost * double(b->cols + 1),
-        "svc:sweep");
-    b->graph.add_edge(build, retune);
-    b->graph.add_edge(retune, sweep);
-    b->done = sched_.submit(b->graph);
-    std::lock_guard<std::mutex> lk(mu_);
-    inflight_.push_back(std::move(owned));
+  // Removes `b` from ready_ or open_ and hands over its ownership. Caller
+  // holds mu_.
+  std::unique_ptr<Batch> take(Batch* b) {
+    std::unique_ptr<Batch> owned;
+    auto it = std::find_if(ready_.begin(), ready_.end(),
+                           [b](const auto& r) { return r.get() == b; });
+    if (it != ready_.end()) {
+      owned = std::move(*it);
+      ready_.erase(it);
+    } else {
+      auto node = open_.extract(b->key);
+      owned = std::move(node.mapped());
+    }
+    return owned;
   }
 
-  // Runs on an executor worker: the coalesced gather → blocked sweep →
-  // scatter, under the entry's shared lock at the batch's λ.
+  // Runs on a service thread: builds the operator if cold, then — under
+  // one with_operator() call, so a retune keeps its write lock through the
+  // sweep — the coalesced gather → blocked sweep → scatter at the batch's
+  // λ. A build failure fails every request of the batch.
   void execute(Batch& b) {
-    const auto start = Clock::now();
     try {
-      if (b.build_error != nullptr) std::rethrow_exception(b.build_error);
       cache_.with_operator(b.spec, [&](typename OperatorCache<T>::Entry& e) {
-        sweep(b, *e.op, start);
+        sweep(b, *e.op, Clock::now());
       });
     } catch (...) {
       // Failed batches count in the histogram too (before the promises
@@ -596,11 +573,6 @@ class SolveService {
       for (auto& r : b.requests)
         if (r != nullptr) fail(std::move(r), err);
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      busy_.erase(b.key);  // reopen the coalescing gate for this key
-    }
-    cv_.notify_all();  // a gate-blocked batch may be launchable now
     notify_done();
   }
 
@@ -619,7 +591,7 @@ class SolveService {
     std::erase_if(b.requests,
                   [](const std::unique_ptr<Request>& r) { return r == nullptr; });
     if (b.requests.empty()) {
-      record_batch(b);  // every launched batch lands in the histogram
+      record_batch(b);  // every batch run lands in the histogram
       return;
     }
 
@@ -672,20 +644,15 @@ class SolveService {
           refine_iters = rep.iterations;
           refine_iters_.fetch_add(std::uint64_t(rep.iterations),
                                   std::memory_order_relaxed);
-          remember_sweep_cost(b.spec.structure_key(),
-                              double(ws->last.flops) / double(cols));
           if (opts_.report_residuals) residuals = rep.column_residuals;
         } else {
           out = fact->solve(rhs, b.solve);  // ONE blocked r-wide sweep
           if (opts_.report_residuals)
-            residuals = solve_residuals(b.spec.structure_key(), op,
-                                        T(b.spec.lambda), out, rhs);
+            residuals = solve_residuals(op, T(b.spec.lambda), out, rhs);
         }
       } else {
         auto ws = pool_.lease();
         out = op.apply(rhs, *ws);
-        remember_sweep_cost(b.spec.structure_key(),
-                            double(ws->last.flops) / double(cols));
       }
     }
 
@@ -725,15 +692,11 @@ class SolveService {
   }
 
   // ‖(K̃+λI)x_j − b_j‖/‖b_j‖ per column, one blocked matvec for the batch.
-  std::vector<double> solve_residuals(const std::string& skey,
-                                      const CompressedOperator<T>& op,
+  std::vector<double> solve_residuals(const CompressedOperator<T>& op,
                                       T lambda, const la::Matrix<T>& x,
                                       const la::Matrix<T>& rhs) {
     auto ws = pool_.lease();
     la::Matrix<T> ax = op.apply(x, *ws);
-    // The residual matvec doubles as the cost probe: measured flops per
-    // column refine the HEFT estimate for later sweeps of this structure.
-    remember_sweep_cost(skey, double(ws->last.flops) / double(x.cols()));
     std::vector<double> out(std::size_t(x.cols()));
     const index_t n = x.rows();
     for (index_t j = 0; j < x.cols(); ++j) {
@@ -751,18 +714,20 @@ class SolveService {
 
   // --- completion plumbing -------------------------------------------------
 
+  // Accounting happens before the promise fires: a client that reads
+  // stats() right after future.get() sees its own request finished.
   void fulfil(std::unique_ptr<Request> r, ServiceResult<T> res) {
     latency_.record(std::chrono::duration<double>(Clock::now() - r->enqueued)
                         .count());
     completed_.fetch_add(1, std::memory_order_relaxed);
-    r->promise.set_value(std::move(res));
     finish_one();
+    r->promise.set_value(std::move(res));
   }
 
   void fail(std::unique_ptr<Request> r, std::exception_ptr err) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    r->promise.set_exception(std::move(err));
     finish_one();
+    r->promise.set_exception(std::move(err));
   }
 
   void finish_one() {
@@ -783,44 +748,18 @@ class SolveService {
     batch_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // --- sweep cost model ----------------------------------------------------
-
-  double sweep_cost_per_col(const std::string& skey) const {
-    std::lock_guard<std::mutex> lk(cost_mu_);
-    auto it = sweep_cost_.find(skey);
-    return it != sweep_cost_.end() ? it->second : 1e6;
-  }
-  void remember_sweep_cost(const std::string& skey, double per_col) {
-    if (per_col <= 0) return;
-    std::lock_guard<std::mutex> lk(cost_mu_);
-    sweep_cost_[skey] = per_col;
-  }
-
-  // Frees batches whose graph completed. Caller holds mu_.
-  void prune_inflight() {
-    std::erase_if(inflight_, [](const std::unique_ptr<Batch>& b) {
-      return b->done.wait_for(std::chrono::seconds(0)) ==
-             std::future_status::ready;
-    });
-  }
-
   const Options opts_;
   OperatorCache<T> cache_;
   WorkspacePool<T> pool_;
-  rt::Scheduler sched_;
 
-  mutable std::mutex mu_;  // guards open_/inflight_/pending_/stop_
-  std::condition_variable cv_;       // wakes the dispatcher
+  mutable std::mutex mu_;  // guards open_/ready_/busy_/pending_/stop_
+  std::condition_variable cv_;       // wakes idle workers
   std::condition_variable done_cv_;  // wakes drain()
   std::unordered_map<std::string, std::unique_ptr<Batch>> open_;
-  std::vector<std::unique_ptr<Batch>> ready_;  // closed, awaiting launch
-  std::unordered_set<std::string> busy_;  // keys with a sweep in flight
-  std::vector<std::unique_ptr<Batch>> inflight_;
+  std::vector<std::unique_ptr<Batch>> ready_;  // closed, awaiting a worker
+  std::unordered_set<std::string> busy_;  // structures with a batch running
   std::size_t pending_ = 0;
   bool stop_ = false;
-
-  mutable std::mutex cost_mu_;
-  std::unordered_map<std::string, double> sweep_cost_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};
@@ -834,7 +773,7 @@ class SolveService {
   std::array<std::atomic<std::uint64_t>, 8> batch_hist_{};
   LatencyHistogram latency_;
 
-  std::thread dispatcher_;  // last member: joined first at destruction
+  std::vector<std::thread> workers_;  // last member: started last
 };
 
 }  // namespace gofmm::service

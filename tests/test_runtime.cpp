@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -155,8 +157,8 @@ TEST(Scheduler, GraphCanBeRerun) {
 
 // ------------------------------------------------- cycle detection ----
 // The seed scheduler "detected" a dependency cycle as a multi-second
-// idle-spin stall; these tests pin the contract the service executor
-// relies on: a cyclic graph throws CycleError BEFORE any task executes.
+// idle-spin stall; these tests pin the contract: a cyclic graph throws
+// CycleError BEFORE any task executes.
 
 TEST(Scheduler, TwoTaskCycleThrowsWithoutExecuting) {
   std::atomic<int> ran{0};
@@ -241,64 +243,60 @@ TEST(Scheduler, StealCounterObservesRebalancing) {
   EXPECT_GT(s.steal_count(), before);
 }
 
-// ------------------------------------------------- async submission ----
-
-TEST(Scheduler, SubmitOverlapsIndependentGraphs) {
-  // Two graphs in flight on one pool; each future completes with its own
-  // graph's work, and a sleeper in the first does not block the second.
-  Scheduler s(4);
-  std::atomic<int> a{0}, b{0};
-  TaskGraph g1, g2;
-  Task* slow = g1.emplace([&](int) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    a++;
-  });
-  Task* after = g1.emplace([&](int) { a++; });
-  g1.add_edge(slow, after);
-  for (int i = 0; i < 8; ++i) g2.emplace([&](int) { b++; });
-  auto f1 = s.submit(g1);
-  auto f2 = s.submit(g2);
-  f2.get();
-  EXPECT_EQ(b.load(), 8);
-  f1.get();
-  EXPECT_EQ(a.load(), 2);
-}
-
-TEST(Scheduler, SubmitPropagatesExceptionThroughFuture) {
-  Scheduler s(2);
-  TaskGraph g;
-  g.emplace([](int) { throw std::runtime_error("async boom"); });
-  auto f = s.submit(g);
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
+// ---------------------------------------------- concurrent callers ----
 
 TEST(Scheduler, ConcurrentSubmittersShareThePool) {
+  // Several threads run their own graphs on one pool at once; each run()
+  // returns once its own graph completed.
   Scheduler s(4);
   std::atomic<int> total{0};
   constexpr int kThreads = 8;
   std::vector<TaskGraph> graphs(kThreads);
-  std::vector<std::thread> submitters;
-  submitters.reserve(kThreads);
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < 32; ++i) graphs[std::size_t(t)].emplace([&](int) { total++; });
-    submitters.emplace_back(
-        [&s, &graphs, t] { s.submit(graphs[std::size_t(t)]).get(); });
+    callers.emplace_back([&s, &graphs, t] { s.run(graphs[std::size_t(t)]); });
   }
-  for (auto& th : submitters) th.join();
+  for (auto& th : callers) th.join();
   EXPECT_EQ(total.load(), kThreads * 32);
 }
 
-TEST(Scheduler, DroppedFutureStillCompletes) {
-  // A caller may fire-and-forget; destruction of the scheduler drains the
-  // graph before the worker threads join.
-  std::atomic<int> count{0};
-  TaskGraph g;
-  for (int i = 0; i < 16; ++i) g.emplace([&](int) { count++; });
-  {
-    Scheduler s(2);
-    (void)s.submit(g);
-  }  // ~Scheduler drains
-  EXPECT_EQ(count.load(), 16);
+TEST(Scheduler, OneWorkerSchedulersNeverLoseAWakeUp) {
+  // Regression: dispatch once published a ready task without holding the
+  // wake mutex, so a lone worker that had just seen an empty queue slept
+  // through the notify and the run never returned. A one-worker scheduler
+  // per graph is what the HEFT engine builds when Config::num_workers = 1.
+  // A lost wake-up hangs, so a watchdog turns it into a failure.
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 20000;
+  std::atomic<int> finished{0};
+  std::vector<std::thread> loops;
+  for (int t = 0; t < kThreads; ++t)
+    loops.emplace_back([&] {
+      for (int i = 0; i < kIterations; ++i) {
+        int step = 0;
+        TaskGraph g;
+        Task* a = g.emplace([&](int) { step = step == 0 ? 1 : -1; });
+        Task* b = g.emplace([&](int) { step = step == 1 ? 2 : -1; });
+        Task* c = g.emplace([&](int) { step = step == 2 ? 3 : -1; });
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        Scheduler s(1);
+        s.run(g);
+        EXPECT_EQ(step, 3);
+      }
+      finished.fetch_add(1);
+    });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(5);
+  while (finished.load() < kThreads) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "a one-worker scheduler stopped making progress\n");
+      std::abort();  // the hung loops cannot be joined
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (auto& th : loops) th.join();
 }
 
 // -------------------------------------------------- traversal engines ----

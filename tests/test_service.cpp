@@ -10,6 +10,7 @@
 // under TSan like the other zoo-sized suites.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -17,6 +18,8 @@
 #include <future>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -468,6 +471,105 @@ TEST(SolveService, ShapeMismatchFailsOnlyTheBadRequest) {
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.completed, 1u);
   EXPECT_EQ(s.failed, 1u);
+}
+
+TEST(SolveService, LambdaSwitchRetunesOncePerSwitchInArrivalOrder) {
+  // Each round submits a burst at λ₁, then a burst at λ₂, against each of
+  // two structures. Batches of one structure run one at a time in arrival
+  // order, and a retune keeps its write lock through the sweep it serves,
+  // so every λ change in arrival order costs exactly one retune: no batch
+  // at the other λ can slip in between and force a retune back.
+  auto counters = std::make_shared<BuildCounters>();
+  typename SolveService<double>::Options opts;
+  opts.num_workers = 2;
+  opts.batch_window = milliseconds(1);
+  SolveService<double> svc(diag_builder(counters), opts);
+
+  constexpr int kRounds = 4;
+  constexpr int kBurst = 4;  // well below max_batch_cols: bursts stay open
+  const std::array<std::string, 2> datasets{"switch-a", "switch-b"};
+  const std::array<double, 2> lambdas{0.25, 4.0};
+  int lambda_changes = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    struct Sent {
+      std::future<ServiceResult<double>> fut;
+      std::string dataset;
+      double lambda;
+      la::Matrix<double> rhs;
+    };
+    std::vector<Sent> sent;
+    for (double lambda : lambdas)
+      for (const std::string& dataset : datasets)
+        for (int r = 0; r < kBurst; ++r) {
+          auto rhs = la::Matrix<double>::random_normal(
+              kDiagN, 1, std::uint64_t(1000 * round + 10 * r) + 1);
+          auto fut = svc.submit_solve(diag_spec(dataset, lambda), rhs);
+          sent.push_back({std::move(fut), dataset, lambda, std::move(rhs)});
+        }
+    // Per structure: λ₁ → λ₂ inside the round, and λ₂ → λ₁ across rounds
+    // (the first λ₁ is the build's own factorization, not a retune).
+    lambda_changes += int(datasets.size()) * (round == 0 ? 1 : 2);
+    for (auto& m : sent) {
+      const ServiceResult<double> res = m.fut.get();
+      const la::Matrix<double> want =
+          diag_reference_solve(m.dataset, m.lambda, m.rhs);
+      for (index_t i = 0; i < kDiagN; ++i)
+        ASSERT_EQ(res.values(i, 0), want(i, 0))
+            << m.dataset << " λ=" << m.lambda << " round " << round;
+    }
+  }
+
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.cache.builds, 2u);
+  EXPECT_EQ(s.cache.retunes, std::uint64_t(lambda_changes));
+  EXPECT_EQ(counters->refactorizes.load(), lambda_changes);
+  EXPECT_EQ(s.failed, 0u);
+}
+
+TEST(SolveService, BuildFailureFailsEveryRequestOfItsBatch) {
+  // The first build throws: every request that rode the failed batch gets
+  // the builder's own exception, and the next request builds afresh.
+  auto counters = std::make_shared<BuildCounters>();
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto inner = diag_builder(counters);
+  auto flaky = [calls, inner](const OperatorSpec& spec)
+      -> std::shared_ptr<CompressedOperator<double>> {
+    if (calls->fetch_add(1) == 0)
+      throw std::runtime_error("transient build failure");
+    return inner(spec);
+  };
+  typename SolveService<double>::Options opts;
+  opts.batch_window = milliseconds(50);  // wide window: one batch
+  SolveService<double> svc(flaky, opts);
+  const OperatorSpec spec = diag_spec("flaky", 1.0);
+
+  constexpr int kRequests = 4;
+  std::vector<std::future<ServiceResult<double>>> futs;
+  for (int r = 0; r < kRequests; ++r)
+    futs.push_back(svc.submit_solve(
+        spec, la::Matrix<double>::random_normal(kDiagN, 1, 50 + r)));
+  for (auto& f : futs) {
+    try {
+      (void)f.get();
+      FAIL() << "expected the builder's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "transient build failure");
+    }
+  }
+  ServiceStats s = svc.stats();
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.failed, std::uint64_t(kRequests));
+  EXPECT_EQ(s.cache.builds, 0u);
+
+  const la::Matrix<double> b = la::Matrix<double>::random_normal(kDiagN, 1, 99);
+  const ServiceResult<double> res = svc.solve(spec, b);
+  const la::Matrix<double> want = diag_reference_solve("flaky", 1.0, b);
+  for (index_t i = 0; i < kDiagN; ++i) ASSERT_EQ(res.values(i, 0), want(i, 0));
+  s = svc.stats();
+  EXPECT_EQ(calls->load(), 2);
+  EXPECT_EQ(s.cache.builds, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.queue_depth, 0u);
 }
 
 // ---- admission control ------------------------------------------------------
