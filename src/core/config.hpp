@@ -46,11 +46,14 @@ struct Config {
   int num_workers = 0;
 
   /// Cache K_{βα} and K_{β̃α̃} blocks at compression time (paper's
-  /// Kba/SKba tasks). Off = evaluate entries on the fly during matvecs.
+  /// Kba/SKba tasks). Each unordered pair {β, α} listed from both sides is
+  /// stored once, by the node with the lower id; the other side multiplies
+  /// its transpose. Off = evaluate entries on the fly during matvecs.
   bool cache_blocks = true;
 
   /// Enforce symmetric near lists (paper requires this for a symmetric
-  /// K̃; the ASKIT baseline switches it off).
+  /// K̃; the ASKIT baseline switches it off). A pair listed by one side
+  /// only is cached by that side.
   bool symmetric_near = true;
 
   /// Neighbor-based importance sampling of ID rows (paper §2.2); when off,

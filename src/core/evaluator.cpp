@@ -89,11 +89,13 @@ void CompressedMatrix<T>::task_s2s(const tree::Node* node,
   u_skel.fill(T(0));
   if (nd.far.empty()) return;
   const index_t r = ws.x.cols();
+  la::Matrix<T> scratch;
   for (std::size_t t = 0; t < nd.far.size(); ++t) {
     const tree::Node* alpha = nd.far[t];
     const la::Matrix<T>& w_alpha = ws.up[std::size_t(alpha->id)];
-    const la::Matrix<T> kba = far_block(node, t);
-    la::gemm(la::Op::None, la::Op::None, T(1), kba, w_alpha, T(1), u_skel);
+    la::Op op;
+    const la::Matrix<T>& kba = far_block(node, t, op, scratch);
+    la::gemm(op, la::Op::None, T(1), kba, w_alpha, T(1), u_skel);
     ws.flops.fetch_add(
         la::FlopCounter::gemm_flops(kba.rows(), r, kba.cols()),
         std::memory_order_relaxed);
@@ -140,11 +142,13 @@ void CompressedMatrix<T>::task_l2l(const tree::Node* node,
   const NodeData& nd = data_[std::size_t(node->id)];
   const index_t r = ws.x.cols();
   la::Matrix<T> acc(node->count, r);
+  la::Matrix<T> scratch;
   for (std::size_t t = 0; t < nd.near.size(); ++t) {
     const tree::Node* alpha = nd.near[t];
-    const la::Matrix<T> kba = near_block(node, t);
+    la::Op op;
+    const la::Matrix<T>& kba = near_block(node, t, op, scratch);
     const la::Matrix<T> wloc = ws.x.block(alpha->begin, 0, alpha->count, r);
-    la::gemm(la::Op::None, la::Op::None, T(1), kba, wloc, T(1), acc);
+    la::gemm(op, la::Op::None, T(1), kba, wloc, T(1), acc);
     ws.flops.fetch_add(
         la::FlopCounter::gemm_flops(kba.rows(), r, kba.cols()),
         std::memory_order_relaxed);

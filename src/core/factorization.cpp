@@ -1384,7 +1384,8 @@ double UlvFactorization<T>::logdet() const {
 
 /// HssView over a GOFMM compression: metric-tree topology and permutation,
 /// cached/oracle-evaluated leaf diagonals, telescoping projection bases,
-/// and oracle-evaluated skeleton couplings. Only alive inside factorize().
+/// and cached/oracle-evaluated skeleton couplings. Only alive inside
+/// factorize().
 template <typename T>
 class GofmmHssView final : public HssView<T> {
  public:
@@ -1433,7 +1434,20 @@ class GofmmHssView final : public HssView<T> {
   }
 
   la::Matrix<T> coupling(index_t id) const override {
+    // K(l̃, r̃): the left child's far block of its sibling, cached or from
+    // the oracle. The left child has the lower id, so a cached pair is
+    // stored in this orientation (op stays None). When a budget > 0 split
+    // the siblings, the pair is in no far list: oracle.
     const HssTopoNode& t = this->topo_[std::size_t(id)];
+    const tree::Node* left = kc_.tree_->nodes()[std::size_t(t.left)];
+    const tree::Node* right = kc_.tree_->nodes()[std::size_t(t.right)];
+    const auto& far = kc_.data_[std::size_t(t.left)].far;
+    const auto it = std::find(far.begin(), far.end(), right);
+    if (it != far.end()) {
+      la::Op op;
+      la::Matrix<T> scratch;
+      return kc_.far_block(left, std::size_t(it - far.begin()), op, scratch);
+    }
     return kc_.k_->submatrix(kc_.data_[std::size_t(t.left)].skel,
                              kc_.data_[std::size_t(t.right)].skel);
   }

@@ -122,6 +122,8 @@ std::uint64_t CompressedMatrix<T>::memory_bytes() const {
     bytes += std::uint64_t(nd.skel.size()) * sizeof(index_t);
     bytes += std::uint64_t(nd.near.size() + nd.far.size()) * sizeof(void*);
     bytes += std::uint64_t(nd.near_leaf_ordinals.size()) * sizeof(index_t);
+    bytes += std::uint64_t(nd.near_refs.size() + nd.far_refs.size()) *
+             sizeof(BlockRef);
   }
   if (fact_ != nullptr) bytes += fact_->stats().memory_bytes;
   return bytes;
@@ -161,42 +163,84 @@ void CompressedMatrix<T>::release_workspace(
 }
 
 template <typename T>
-la::Matrix<T> CompressedMatrix<T>::near_block(const tree::Node* beta,
-                                              std::size_t t) const {
+const la::Matrix<T>& CompressedMatrix<T>::near_block(
+    const tree::Node* beta, std::size_t t, la::Op& op,
+    la::Matrix<T>& scratch) const {
   const NodeData& nd = data_[std::size_t(beta->id)];
-  if (!nd.near_blocks.empty()) return nd.near_blocks[t];
-  const tree::Node* alpha = nd.near[t];
-  return k_->submatrix(tree_->indices(beta), tree_->indices(alpha));
+  if (config_.cache_blocks) {
+    const BlockRef& ref = nd.near_refs[t];
+    op = ref.owner == beta->id ? la::Op::None : la::Op::Trans;
+    return data_[std::size_t(ref.owner)].near_blocks[std::size_t(ref.slot)];
+  }
+  op = la::Op::None;
+  scratch = k_->submatrix(tree_->indices(beta), tree_->indices(nd.near[t]));
+  return scratch;
 }
 
 template <typename T>
-la::Matrix<T> CompressedMatrix<T>::far_block(const tree::Node* beta,
-                                             std::size_t t) const {
+const la::Matrix<T>& CompressedMatrix<T>::far_block(
+    const tree::Node* beta, std::size_t t, la::Op& op,
+    la::Matrix<T>& scratch) const {
   const NodeData& nd = data_[std::size_t(beta->id)];
-  if (!nd.far_blocks.empty()) return nd.far_blocks[t];
-  const tree::Node* alpha = nd.far[t];
-  return k_->submatrix(nd.skel, data_[std::size_t(alpha->id)].skel);
+  if (config_.cache_blocks) {
+    const BlockRef& ref = nd.far_refs[t];
+    op = ref.owner == beta->id ? la::Op::None : la::Op::Trans;
+    return data_[std::size_t(ref.owner)].far_blocks[std::size_t(ref.slot)];
+  }
+  op = la::Op::None;
+  scratch = k_->submatrix(nd.skel, data_[std::size_t(nd.far[t]->id)].skel);
+  return scratch;
 }
 
 template <typename T>
 void CompressedMatrix<T>::cache_interaction_blocks() {
-  // Kba(β) and SKba(β) of Algorithm 2.2: evaluate and store every direct
-  // block K(β, α) and skeleton block K(β̃, α̃). Any order; parallel.
+  // Kba(β) and SKba(β) of Algorithm 2.2: the direct blocks K(β, α) and the
+  // skeleton blocks K(β̃, α̃), each unordered pair evaluated and stored
+  // once. Pass 1 (ids ascending, so an owner is resolved before its
+  // mirror): the lower id owns a pair listed from both sides, the other
+  // side refers to the owner's block; anything else is owned by the side
+  // that lists it.
+  using List = std::vector<const tree::Node*> NodeData::*;
+  using Refs = std::vector<BlockRef> NodeData::*;
+  const auto assign_refs = [this](const tree::Node* beta, List list,
+                                  Refs refs) {
+    NodeData& nd = data_[std::size_t(beta->id)];
+    (nd.*refs).clear();
+    index_t owned = 0;
+    for (const tree::Node* alpha : nd.*list) {
+      if (alpha->id < beta->id) {
+        const NodeData& od = data_[std::size_t(alpha->id)];
+        const auto& back = od.*list;
+        const auto it = std::find(back.begin(), back.end(), beta);
+        if (it != back.end()) {
+          (nd.*refs).push_back((od.*refs)[std::size_t(it - back.begin())]);
+          continue;
+        }
+      }
+      (nd.*refs).push_back({beta->id, owned++});
+    }
+  };
   const auto& nodes = tree_->nodes();
+  for (const tree::Node* beta : nodes) {
+    assign_refs(beta, &NodeData::near, &NodeData::near_refs);
+    assign_refs(beta, &NodeData::far, &NodeData::far_refs);
+  }
+
+  // Pass 2: evaluate the owned blocks. Any order; parallel.
 #pragma omp parallel for schedule(dynamic, 1)
   for (index_t t = 0; t < index_t(nodes.size()); ++t) {
     const tree::Node* beta = nodes[std::size_t(t)];
     NodeData& nd = data_[std::size_t(beta->id)];
     nd.near_blocks.clear();
-    nd.near_blocks.reserve(nd.near.size());
-    for (const tree::Node* alpha : nd.near)
-      nd.near_blocks.push_back(
-          k_->submatrix(tree_->indices(beta), tree_->indices(alpha)));
     nd.far_blocks.clear();
-    nd.far_blocks.reserve(nd.far.size());
-    for (const tree::Node* alpha : nd.far)
-      nd.far_blocks.push_back(
-          k_->submatrix(nd.skel, data_[std::size_t(alpha->id)].skel));
+    for (std::size_t s = 0; s < nd.near.size(); ++s)
+      if (nd.near_refs[s].owner == beta->id)
+        nd.near_blocks.push_back(k_->submatrix(tree_->indices(beta),
+                                               tree_->indices(nd.near[s])));
+    for (std::size_t s = 0; s < nd.far.size(); ++s)
+      if (nd.far_refs[s].owner == beta->id)
+        nd.far_blocks.push_back(k_->submatrix(
+            nd.skel, data_[std::size_t(nd.far[s]->id)].skel));
   }
   std::uint64_t bytes = 0;
   for (const auto& nd : data_) {

@@ -29,6 +29,7 @@
 #include "core/error.hpp"
 #include "core/operator.hpp"
 #include "core/spd_matrix.hpp"
+#include "la/blas.hpp"
 #include "la/matrix.hpp"
 #include "runtime/scheduler.hpp"
 #include "tree/ann.hpp"
@@ -185,6 +186,14 @@ class CompressedMatrix final : public CompressedOperator<T>,
   CompressedMatrix(std::shared_ptr<const SPDMatrix<T>> k,
                    const Config& config);
 
+  /// Where the cached block of one list slot lives: block `slot` of node
+  /// `owner`'s near_blocks/far_blocks. A slot whose owner is another node
+  /// reads that node's mirror block K(α, β) and multiplies its transpose.
+  struct BlockRef {
+    index_t owner = 0;
+    index_t slot = 0;
+  };
+
   /// Per-node payload, indexed by tree::Node::id. Immutable once
   /// compression finishes — evaluation scratch lives in EvalWorkspace.
   struct NodeData {
@@ -198,9 +207,14 @@ class CompressedMatrix final : public CompressedOperator<T>,
     std::vector<const tree::Node*> far;
     std::vector<index_t> near_leaf_ordinals;  ///< sorted, for FindFar
 
-    // --- cached blocks ---
-    std::vector<la::Matrix<T>> near_blocks;  ///< K(β, α), α ∈ near
-    std::vector<la::Matrix<T>> far_blocks;   ///< K(β̃, α̃), α ∈ far
+    // --- cached blocks (empty when cache_blocks is off) ---
+    // Each unordered pair {β, α} is stored once, by the node with the lower
+    // id; a pair that α does not list back is stored by β alone. The self
+    // block K(β, β) always stays with its leaf.
+    std::vector<la::Matrix<T>> near_blocks;  ///< owned K(β, α), α ∈ near
+    std::vector<la::Matrix<T>> far_blocks;   ///< owned K(β̃, α̃), α ∈ far
+    std::vector<BlockRef> near_refs;         ///< one per near slot
+    std::vector<BlockRef> far_refs;          ///< one per far slot
   };
 
   // Pipeline stages (defined across the core/*.cpp files).
@@ -228,9 +242,13 @@ class CompressedMatrix final : public CompressedOperator<T>,
   void eval_with_levels(EvalWorkspace<T>& ws) const;
   void eval_with_omp_tasks(EvalWorkspace<T>& ws) const;
 
-  // Block access: cached or evaluated on demand.
-  la::Matrix<T> near_block(const tree::Node* beta, std::size_t t) const;
-  la::Matrix<T> far_block(const tree::Node* beta, std::size_t t) const;
+  // Block access for slot t of β's near/far list: the cached block, with
+  // op = Trans when β reads its owner's mirror; without a cache, K(β, α)
+  // (K(β̃, α̃)) evaluated from the oracle into `scratch` with op = None.
+  const la::Matrix<T>& near_block(const tree::Node* beta, std::size_t t,
+                                  la::Op& op, la::Matrix<T>& scratch) const;
+  const la::Matrix<T>& far_block(const tree::Node* beta, std::size_t t,
+                                 la::Op& op, la::Matrix<T>& scratch) const;
 
   // Workspace pool backing the evaluate() convenience path.
   [[nodiscard]] std::unique_ptr<EvalWorkspace<T>> acquire_workspace() const;

@@ -1,10 +1,13 @@
 // Core GOFMM tests: interaction-list invariants, skeleton nesting,
 // accuracy, engine equivalence, and the HSS/FMM structure switch.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <cstring>
 #include <numeric>
 #include <set>
 
+#include "baselines/askit.hpp"
 #include "core/gofmm.hpp"
 #include "la/blas.hpp"
 #include "matrices/kernels.hpp"
@@ -42,6 +45,12 @@ Config small_config() {
 template <typename T>
 la::Matrix<T> dense_compressed(CompressedMatrix<T>& kc) {
   return kc.evaluate(la::Matrix<T>::identity(kc.size()));
+}
+
+bool bitwise_equal(const la::Matrix<double>& a, const la::Matrix<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), std::size_t(a.size()) *
+                                             sizeof(double)) == 0;
 }
 
 // ---------------------------------------------------- structure checks ----
@@ -128,6 +137,36 @@ TEST_P(GofmmCoverage, NearAndFarTileEveryEntryExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Budgets, GofmmCoverage,
                          ::testing::Values(0.0, 0.05, 0.25, 1.0));
+
+TEST(GofmmStructure, EachSymmetricPairIsCachedOnce) {
+  auto k = test_kernel(512);
+  Config cfg = small_config();
+  cfg.budget = 0.2;
+  auto kc = CompressedMatrix<double>::compress(k, cfg);
+  const auto& t = kc.cluster_tree();
+  // Bytes of the diagonal blocks plus one block per unordered near pair
+  // and one skeleton block per unordered far pair.
+  std::set<std::pair<index_t, index_t>> near_pairs, far_pairs;
+  std::uint64_t entries = 0;
+  for (const tree::Node* beta : t.nodes()) {
+    for (const tree::Node* alpha : kc.near_list(beta)) {
+      const auto key = std::minmax(beta->id, alpha->id);
+      if (near_pairs.insert(key).second)
+        entries += std::uint64_t(beta->count) * std::uint64_t(alpha->count);
+    }
+    for (const tree::Node* alpha : kc.far_list(beta)) {
+      const auto key = std::minmax(beta->id, alpha->id);
+      if (far_pairs.insert(key).second)
+        entries += std::uint64_t(kc.skeleton(beta).size()) *
+                   std::uint64_t(kc.skeleton(alpha).size());
+    }
+  }
+  // The recipe must exercise off-diagonal near pairs, not just the HSS
+  // diagonal.
+  ASSERT_GT(near_pairs.size(), t.leaves().size());
+  ASSERT_FALSE(far_pairs.empty());
+  EXPECT_EQ(kc.stats().cached_bytes, entries * sizeof(double));
+}
 
 TEST(GofmmStructure, RootNeedsNoSkeleton) {
   auto k = test_kernel(256);
@@ -274,6 +313,40 @@ INSTANTIATE_TEST_SUITE_P(Engines, GofmmEngines,
                                            rt::Engine::LevelByLevel,
                                            rt::Engine::OmpTask));
 
+TEST(GofmmEngines, ApplyBitIdenticalAcrossEnginesAndThreadCounts) {
+  // Every task writes only its own outputs and sums in a fixed order, so
+  // the engine and the thread count must not change a single bit.
+  const index_t n = 2048;
+  auto k = test_kernel(n);
+  Config cfg = small_config();
+  cfg.leaf_size = 64;
+  cfg.max_rank = 64;
+  cfg.budget = 0.03;
+  la::Matrix<double> w = la::Matrix<double>::random_normal(n, 3, 14);
+  const int prev_threads = omp_get_max_threads();
+
+  cfg.engine = rt::Engine::LevelByLevel;
+  auto kc_levels = CompressedMatrix<double>::compress(k, cfg);
+  omp_set_num_threads(1);
+  const la::Matrix<double> ref = kc_levels.evaluate(w);
+  omp_set_num_threads(4);
+  const la::Matrix<double> levels4 = kc_levels.evaluate(w);
+  omp_set_num_threads(prev_threads);
+  EXPECT_TRUE(bitwise_equal(levels4, ref)) << "LevelByLevel, 4 threads";
+
+  for (const int workers : {1, 4}) {
+    cfg.engine = rt::Engine::Heft;
+    cfg.num_workers = workers;
+    auto kc = CompressedMatrix<double>::compress(k, cfg);
+    EXPECT_TRUE(bitwise_equal(kc.evaluate(w), ref))
+        << "HEFT, " << workers << " workers";
+  }
+
+  cfg.engine = rt::Engine::OmpTask;
+  auto kc_omp = CompressedMatrix<double>::compress(k, cfg);
+  EXPECT_TRUE(bitwise_equal(kc_omp.evaluate(w), ref)) << "OmpTask";
+}
+
 TEST(GofmmEngines, RepeatedEvaluationIsStable) {
   const index_t n = 256;
   auto k = test_kernel(n);
@@ -304,19 +377,29 @@ TEST(GofmmEngines, MultiRhsMatchesSingleRhs) {
 TEST(GofmmConfig, CachedAndUncachedAgree) {
   const index_t n = 256;
   auto k = test_kernel(n);
-  Config cached = small_config();
-  cached.cache_blocks = true;
-  Config lazy = cached;
-  lazy.cache_blocks = false;
+  Config wide_budget = small_config();
+  wide_budget.budget = 0.1;
+  // The ASKIT preset leaves near lists unsymmetrised: pairs listed from one
+  // side only are cached by that side alone.
+  Config askit = baseline::askit_like_config(8);
+  askit.leaf_size = 32;
+  askit.max_rank = 32;
+  askit.tolerance = 1e-7;
+  for (const Config& base : {small_config(), wide_budget, askit}) {
+    Config cached = base;
+    cached.cache_blocks = true;
+    Config lazy = cached;
+    lazy.cache_blocks = false;
 
-  auto kc1 = CompressedMatrix<double>::compress(k, cached);
-  auto kc2 = CompressedMatrix<double>::compress(k, lazy);
-  la::Matrix<double> w = la::Matrix<double>::random_normal(n, 2, 11);
-  auto u1 = kc1.evaluate(w);
-  auto u2 = kc2.evaluate(w);
-  EXPECT_LT(la::diff_fro(u1, u2), 1e-11);
-  EXPECT_GT(kc1.stats().cached_bytes, 0u);
-  EXPECT_EQ(kc2.stats().cached_bytes, 0u);
+    auto kc1 = CompressedMatrix<double>::compress(k, cached);
+    auto kc2 = CompressedMatrix<double>::compress(k, lazy);
+    la::Matrix<double> w = la::Matrix<double>::random_normal(n, 2, 11);
+    auto u1 = kc1.evaluate(w);
+    auto u2 = kc2.evaluate(w);
+    EXPECT_LT(la::diff_fro(u1, u2), 1e-11) << "budget " << base.budget;
+    EXPECT_GT(kc1.stats().cached_bytes, 0u);
+    EXPECT_EQ(kc2.stats().cached_bytes, 0u);
+  }
 }
 
 class GofmmOrderings : public ::testing::TestWithParam<DistanceKind> {};

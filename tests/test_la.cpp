@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "la/blas.hpp"
 #include "la/dst.hpp"
@@ -995,6 +997,58 @@ TEST(GemmKernel, ScalarAndDispatchedBitwiseIdenticalDouble) {
 TEST(GemmKernel, ScalarAndDispatchedBitwiseIdenticalFloat) {
   check_dispatch_bitwise<float>(257, 130, 241);
   check_dispatch_bitwise<float>(67, 3, 31);
+}
+
+template <typename T>
+void check_packed_transpose_bitwise(index_t m, index_t n, index_t k) {
+  // A transposed operand is packed tile by tile, never materialised; the
+  // kernel must see exactly what it would from an explicit transposed
+  // copy, in the same order.
+  const Matrix<T> at = Matrix<T>::random_normal(k, m, 461);
+  const Matrix<T> bt = Matrix<T>::random_normal(n, k, 462);
+  const Matrix<T> a = at.transposed();
+  const Matrix<T> b = bt.transposed();
+  const Matrix<T> c0 = Matrix<T>::random_normal(m, n, 463);
+  for (const T alpha : {T(1), T(1.3)}) {
+    Matrix<T> expect = c0;
+    gemm(Op::None, Op::None, alpha, a, b, T(-0.7), expect);
+    Matrix<T> c_ta = c0;
+    gemm(Op::Trans, Op::None, alpha, at, b, T(-0.7), c_ta);
+    Matrix<T> c_tb = c0;
+    gemm(Op::None, Op::Trans, alpha, a, bt, T(-0.7), c_tb);
+    Matrix<T> c_tt = c0;
+    gemm(Op::Trans, Op::Trans, alpha, at, bt, T(-0.7), c_tt);
+    const std::string where = std::to_string(m) + "x" + std::to_string(n) +
+                              "x" + std::to_string(k) + " alpha " +
+                              std::to_string(double(alpha)) + " kernel " +
+                              gemm_kernel_name();
+    EXPECT_TRUE(bitwise_equal(c_ta, expect)) << "Aᵀ " << where;
+    EXPECT_TRUE(bitwise_equal(c_tb, expect)) << "Bᵀ " << where;
+    EXPECT_TRUE(bitwise_equal(c_tt, expect)) << "AᵀBᵀ " << where;
+  }
+}
+
+template <typename T>
+void check_packed_transpose_bitwise_all_kernels() {
+  // Shapes one past each cache-blocking edge (kMB = 256 rows, kKB = 240
+  // depth, kNB = 64 columns), two tiles deep, and narrow right-hand sides
+  // (fewer than the kernel's 4-column rank-1 updates).
+  const std::tuple<index_t, index_t, index_t> shapes[] = {
+      {257, 65, 241}, {513, 130, 481}, {256, 64, 240},
+      {3, 1, 241},    {258, 3, 481},   {130, 4, 17}};
+  for (const auto& [m, n, k] : shapes) {
+    check_packed_transpose_bitwise<T>(m, n, k);
+    ForceScalarGuard guard;
+    check_packed_transpose_bitwise<T>(m, n, k);
+  }
+}
+
+TEST(GemmKernel, PackedTransposeMatchesMaterialisedTransposeBitwiseDouble) {
+  check_packed_transpose_bitwise_all_kernels<double>();
+}
+
+TEST(GemmKernel, PackedTransposeMatchesMaterialisedTransposeBitwiseFloat) {
+  check_packed_transpose_bitwise_all_kernels<float>();
 }
 
 // ------------------------------------------------------------- eigen ----
